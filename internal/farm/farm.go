@@ -604,8 +604,8 @@ func resolvedFuture(key string, res Result, err error) *Future {
 // memHit resolves a submission served by the memory tier: the hit counter,
 // the memory-lookup phase histogram, and — only when the job asked for a
 // trace — a materialised Trace echoed in the result and recorded in the
-// ring. Untraced warm hits allocate nothing beyond the Future itself.
-func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) *Future {
+// ring. Untraced warm hits allocate nothing.
+func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup time.Duration) Result {
 	f.count(&f.hits)
 	phaseSeconds.Observe(telemetry.PhaseMemLookup, lookup)
 	res.Hit = true
@@ -619,7 +619,28 @@ func (f *Farm) memHit(j Job, key string, res Result, start time.Time, lookup tim
 		res.Trace = tr
 		f.ring.Add(tr)
 	}
-	return resolvedFuture(key, res, nil)
+	return res
+}
+
+// MemoryHit answers a job whose content key the caller already knows —
+// key must equal j.Key() — from the memory tier alone, with the accounting
+// of a Submit that hits there: Submitted and Hits are counted, the
+// memory-lookup phase is observed, and a job asking for a trace gets one,
+// also recorded in the ring. j may omit its operand tensors, which is the
+// point: a caller that memoises keys answers repeated jobs without
+// materialising or hashing operands. On a miss nothing is counted and the
+// caller submits the full job as usual. Unlike Future.Wait, the result's
+// output tensor is the cache's own and must not be modified.
+func (f *Farm) MemoryHit(j Job, key string) (Result, bool) {
+	start := time.Now()
+	res, ok := f.mem.Get(key)
+	if !ok {
+		return Result{}, false
+	}
+	f.count(&f.submitted)
+	res = f.memHit(j, key, res, start, time.Since(start))
+	res.Key = key
+	return res, true
 }
 
 // Submit enqueues a job and returns immediately with a Future. Cache hits
@@ -653,7 +674,7 @@ func (f *Farm) submit(j Job, block bool) *Future {
 	// warm cache never serialise on cmu — this is where the sharded
 	// store's contention relief is actually realised.
 	if res, ok := f.mem.Get(key); ok {
-		return f.memHit(j, key, res, start, time.Since(start))
+		return resolvedFuture(key, f.memHit(j, key, res, start, time.Since(start)), nil)
 	}
 	memLookup := time.Since(start)
 	dedupStart := time.Now()
@@ -664,7 +685,7 @@ func (f *Farm) submit(j Job, block bool) *Future {
 	// checks here.
 	if res, ok := f.mem.Get(key); ok {
 		f.cmu.Unlock()
-		return f.memHit(j, key, res, start, memLookup)
+		return resolvedFuture(key, f.memHit(j, key, res, start, memLookup), nil)
 	}
 	if c, ok := f.inflight[key]; ok {
 		c.waiters.Add(1) // under cmu, so it cannot race the cancel decision in detach

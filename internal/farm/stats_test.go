@@ -128,3 +128,41 @@ func TestFarmSharesPackCacheAcrossJobs(t *testing.T) {
 	}
 	off.Close()
 }
+
+// TestMemoryHitAccounting pins MemoryHit to Submit's memory-hit accounting:
+// a miss counts nothing (the caller submits the full job next), a hit
+// counts one submission and one hit, and an operand-free copy of the job
+// is answered with the full job's result under its key.
+func TestMemoryHitAccounting(t *testing.T) {
+	job := Job{HW: config.Default(config.MAERIDenseWorkload), Kind: Dense, M: 1, K: 16, N: 8,
+		FCMapping: mapping.BasicFC(), Seed: 3,
+		Input: tensor.RandomUniform(3, 1, 1, 16), Weights: tensor.RandomUniform(103, 1, 8, 16)}
+	key, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(1)
+	defer f.Close()
+	bare := job
+	bare.Input, bare.Weights = nil, nil
+	if _, ok := f.MemoryHit(bare, key); ok {
+		t.Fatal("MemoryHit answered a key the farm never computed")
+	}
+	if st := f.Stats(); st.Submitted != 0 || st.Hits != 0 {
+		t.Fatalf("a MemoryHit miss was counted: %+v", st)
+	}
+	want, err := f.Do(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.Stats()
+	res, ok := f.MemoryHit(bare, key)
+	if !ok || !res.Hit || res.Key != key || res.Stats != want.Stats || !tensor.AllClose(res.Out, want.Out, 0) {
+		t.Fatalf("MemoryHit = %+v, %v; want the computed result under %s", res, ok, key)
+	}
+	after := f.Stats()
+	if after.Submitted-before.Submitted != 1 || after.Hits-before.Hits != 1 || after.Misses != before.Misses {
+		t.Errorf("MemoryHit hit accounting: submitted +%d, hits +%d, misses +%d; want +1, +1, +0",
+			after.Submitted-before.Submitted, after.Hits-before.Hits, after.Misses-before.Misses)
+	}
+}

@@ -429,11 +429,7 @@ func (c *coordinator) placeable(ps *peerState, now time.Time) bool {
 // work a single node could do.
 func (c *coordinator) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
-	job, err := req.Job()
-	if err != nil {
-		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
-	}
-	key, err := job.Key()
+	_, key, err := c.s.jobKey(req)
 	if err != nil {
 		return c.s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}

@@ -162,13 +162,35 @@ type JobRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// Job compiles the request into a farm job.
+// maxOperandElems caps the operand elements (input plus weights) a request
+// may ask the server to generate: 256M float32s, 1 GiB, about seven times
+// AlexNet fc6's 37.7M weights. A larger request is rejected as invalid
+// before anything is allocated, so no client input can drive operand
+// generation into an out-of-memory crash.
+const maxOperandElems = 1 << 28
+
+// Job compiles the request into a farm job, operands included.
 func (r JobRequest) Job() (farm.Job, error) {
+	j, err := r.compile()
+	if err != nil {
+		return farm.Job{}, err
+	}
+	generateOperands(&j)
+	return j, nil
+}
+
+// compile does everything Job does except generating operands: it resolves
+// the architecture, applies the geometry defaults, parses the mappings and
+// enforces the operand admission cap. Every operand is a deterministic
+// function of the compiled job's seed, geometry and sparsity ratio, which
+// generateOperands materialises.
+func (r JobRequest) compile() (farm.Job, error) {
 	cfg, err := r.Arch.Config()
 	if err != nil {
 		return farm.Job{}, err
 	}
 	j := farm.Job{HW: cfg, Seed: r.Seed, DryRun: r.DryRun, ExecWorkers: r.ExecWorkers, Trace: r.Trace}
+	var elems int64 // input plus weights
 	switch r.Op {
 	case "conv2d":
 		if r.Conv == nil {
@@ -203,14 +225,7 @@ func (r JobRequest) Job() (farm.Job, error) {
 			j.ConvMapping = mapping.ConvMapping{TR: m[0], TS: m[1], TC: m[2], TK: m[3],
 				TG: m[4], TN: m[5], TX: m[6], TY: m[7]}
 		}
-		if !r.DryRun {
-			j.Input = tensor.RandomUniform(r.Seed, 1, d.N, d.C, d.H, d.W)
-			kernel := tensor.RandomUniform(r.Seed+100, 1, d.K, d.C/d.G, d.R, d.S)
-			if cfg.SparsityRatio > 0 {
-				tensor.Prune(kernel, float64(cfg.SparsityRatio)/100)
-			}
-			j.Weights = kernel
-		}
+		elems = product(d.N, d.C, d.H, d.W) + product(d.K, d.C/d.G, d.R, d.S)
 	case "dense":
 		if r.Dense == nil {
 			return farm.Job{}, fmt.Errorf("dense job needs a dense geometry")
@@ -219,8 +234,8 @@ func (r JobRequest) Job() (farm.Job, error) {
 		if dn.M == 0 {
 			dn.M = 1
 		}
-		if dn.K <= 0 || dn.N <= 0 {
-			return farm.Job{}, fmt.Errorf("dense job needs positive k and n, got %d and %d", dn.K, dn.N)
+		if dn.M < 0 || dn.K <= 0 || dn.N <= 0 {
+			return farm.Job{}, fmt.Errorf("dense job needs positive m, k and n, got %d, %d and %d", dn.M, dn.K, dn.N)
 		}
 		j.Kind = farm.Dense
 		j.M, j.K, j.N = dn.M, dn.K, dn.N
@@ -231,18 +246,49 @@ func (r JobRequest) Job() (farm.Job, error) {
 			}
 			j.FCMapping = mapping.FCMapping{TS: r.FCMapping[0], TK: r.FCMapping[1], TN: r.FCMapping[2]}
 		}
-		if !r.DryRun {
-			j.Input = tensor.RandomUniform(r.Seed, 1, dn.M, dn.K)
-			weights := tensor.RandomUniform(r.Seed+100, 1, dn.N, dn.K)
-			if cfg.SparsityRatio > 0 {
-				tensor.Prune(weights, float64(cfg.SparsityRatio)/100)
-			}
-			j.Weights = weights
-		}
+		elems = product(dn.M, dn.K) + product(dn.N, dn.K)
 	default:
 		return farm.Job{}, fmt.Errorf("unknown op %q (want conv2d or dense)", r.Op)
 	}
+	if elems > maxOperandElems {
+		return farm.Job{}, fmt.Errorf("operands of %d elements exceed the %d-element cap", elems, maxOperandElems)
+	}
 	return j, nil
+}
+
+// product multiplies positive dimensions, saturating just above
+// maxOperandElems so that no geometry can overflow the admission check.
+func product(dims ...int) int64 {
+	p := int64(1)
+	for _, d := range dims {
+		if int64(d) > maxOperandElems/p {
+			return maxOperandElems + 1
+		}
+		p *= int64(d)
+	}
+	return p
+}
+
+// generateOperands materialises a compiled job's operands from its seed:
+// uniform input and weights, the weights pruned to the configured sparsity
+// ratio. Dry runs carry no operands.
+func generateOperands(j *farm.Job) {
+	if j.DryRun {
+		return
+	}
+	var inShape, wShape []int
+	if j.Kind == farm.Conv2D {
+		d := j.Dims
+		inShape, wShape = []int{d.N, d.C, d.H, d.W}, []int{d.K, d.C / d.G, d.R, d.S}
+	} else {
+		inShape, wShape = []int{j.M, j.K}, []int{j.N, j.K}
+	}
+	j.Input = tensor.RandomUniform(j.Seed, 1, inShape...)
+	weights := tensor.RandomUniform(j.Seed+100, 1, wShape...)
+	if j.HW.SparsityRatio > 0 {
+		tensor.Prune(weights, float64(j.HW.SparsityRatio)/100)
+	}
+	j.Weights = weights
 }
 
 // JobResponse is what one simulation reports back.
@@ -335,6 +381,10 @@ type Server struct {
 	slowJob  time.Duration
 	ring     *telemetry.TraceRing
 
+	// keys memoises request descriptor → content key, so a repeated
+	// request is answered without generating or hashing its operands.
+	keys *keyMemo
+
 	peerList   []Peer
 	peerClient *http.Client
 	coord      *coordinator
@@ -410,7 +460,8 @@ func WithScrubber(sc *farm.Scrubber) ServerOption {
 // NewServer returns an http.Handler serving the bifrost-serve API on the
 // given farm.
 func NewServer(f *farm.Farm, opts ...ServerOption) *Server {
-	s := &Server{farm: f, mux: http.NewServeMux(), started: time.Now(), drainCh: make(chan struct{})}
+	s := &Server{farm: f, mux: http.NewServeMux(), keys: newKeyMemo(keyMemoEntries),
+		started: time.Now(), drainCh: make(chan struct{})}
 	s.peerCfg = defaultPeerConfig()
 	for _, opt := range opts {
 		opt(s)
@@ -627,9 +678,40 @@ func (s *Server) instrument(endpoint string, hist *telemetry.Histogram, h http.H
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// lookupKey compiles a request into its operand-free job and looks the
+// job's descriptor up in the key memo: key is the job's content key when
+// the server has keyed the same descriptor before, empty otherwise.
+func (s *Server) lookupKey(req JobRequest) (job farm.Job, desc memoKey, key string, err error) {
+	if job, err = req.compile(); err != nil {
+		return farm.Job{}, memoKey{}, "", err
+	}
+	desc = memoKeyOf(job)
+	key, _ = s.keys.get(desc)
+	return job, desc, key, nil
+}
+
+// jobKey compiles a request and returns its content key: from the memo
+// when the descriptor is known, otherwise by generating and hashing the
+// operands, which the memo then remembers. The job carries operands only in
+// the second case.
+func (s *Server) jobKey(req JobRequest) (farm.Job, string, error) {
+	job, desc, key, err := s.lookupKey(req)
+	if err != nil || key != "" {
+		return job, key, err
+	}
+	generateOperands(&job)
+	if key, err = job.Key(); err != nil {
+		return farm.Job{}, "", err
+	}
+	s.keys.put(desc, key)
+	return job, key, nil
+}
+
 // run executes one request through the farm and shapes the response. ctx is
 // the request context: a client that disconnects mid-sweep cancels its
-// still-queued jobs so they never occupy a worker.
+// still-queued jobs so they never occupy a worker. A request whose
+// descriptor the memo knows is answered from the memory tier without
+// materialising operands; anything else generates them and submits the job.
 func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	start := time.Now()
 	if req.ExecWorkers == 0 {
@@ -639,30 +721,43 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	// traced when slow-job logging needs the data.
 	echoTrace := req.Trace || s.traceAll
 	req.Trace = echoTrace || s.slowJob > 0
-	job, err := req.Job()
+	job, desc, key, err := s.lookupKey(req)
 	if err != nil {
 		return s.annotate(JobResponse{Error: err.Error(), ElapsedMS: msSince(start), err: err})
 	}
-	switch {
-	case req.TimeoutMS > 0:
-		job.Deadline = time.Duration(req.TimeoutMS) * time.Millisecond
-	case req.TimeoutMS == 0:
-		job.Deadline = s.jobTimeout
+	var (
+		res farm.Result
+		hit bool
+	)
+	if key != "" && ctx.Err() == nil {
+		res, hit = s.farm.MemoryHit(job, key)
 	}
-	if job.Deadline > 0 {
-		// Bound the wait as well as the queue time: a job already executing
-		// when the deadline passes keeps running (its result still feeds the
-		// cache and any other waiters), but this caller gets its 504 on time.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Deadline)
-		defer cancel()
+	if !hit {
+		generateOperands(&job)
+		switch {
+		case req.TimeoutMS > 0:
+			job.Deadline = time.Duration(req.TimeoutMS) * time.Millisecond
+		case req.TimeoutMS == 0:
+			job.Deadline = s.jobTimeout
+		}
+		if job.Deadline > 0 {
+			// Bound the wait as well as the queue time: a job already
+			// executing when the deadline passes keeps running (its result
+			// still feeds the cache and any other waiters), but this caller
+			// gets its 504 on time.
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, job.Deadline)
+			defer cancel()
+		}
+		if res, err = s.farm.DoCtx(ctx, job); err != nil {
+			if key == "" {
+				key, _ = job.Key() // best effort: name the job even on failure
+			}
+			return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: msSince(start), err: err})
+		}
+		s.keys.put(desc, res.Key)
 	}
-	res, err := s.farm.DoCtx(ctx, job)
 	elapsed := time.Since(start)
-	if err != nil {
-		key, _ := job.Key() // best effort: name the job even on failure
-		return s.annotate(JobResponse{Key: key, Error: err.Error(), ElapsedMS: telemetry.MS(elapsed), err: err})
-	}
 	if s.slowJob > 0 && elapsed >= s.slowJob {
 		s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow job",
 			slog.String("key", res.Key),
@@ -677,15 +772,22 @@ func (s *Server) run(ctx context.Context, req JobRequest) JobResponse {
 	if echoTrace {
 		resp.Trace = res.Trace
 	}
-	if res.Out != nil {
-		resp.OutputShape = res.Out.Shape()
-		var sum float64
-		for _, v := range res.Out.Data() {
-			sum += float64(v)
-		}
-		resp.OutputSum = sum
-	}
+	resp.summarize(res.Out)
 	return resp
+}
+
+// summarize fills the response's output summary — shape and element sum —
+// so sweeps can check reproducibility without shipping whole tensors.
+func (r *JobResponse) summarize(out *tensor.Tensor) {
+	if out == nil {
+		return
+	}
+	r.OutputShape = out.Shape()
+	var sum float64
+	for _, v := range out.Data() {
+		sum += float64(v)
+	}
+	r.OutputSum = sum
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
@@ -708,14 +810,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(buf.Bytes())
 }
 
+// Request body limits: a /simulate body is one small JSON object, a /batch
+// body a sweep of them. A body past its limit is answered 413.
+const (
+	maxSimulateBody = 1 << 20
+	maxBatchBody    = 16 << 20
+)
+
+// decodeStatus maps a request-body decoding error to its HTTP status: 413
+// when the body outgrew its limit, 400 for anything malformed.
+func decodeStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.refuseDraining(w)
 		return
 	}
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxSimulateBody)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, JobResponse{Error: "decoding job: " + err.Error()})
+		writeJSON(w, decodeStatus(err), JobResponse{Error: "decoding job: " + err.Error()})
 		return
 	}
 	resp := s.dispatch(r.Context(), req)
@@ -797,6 +917,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var reqs []JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
 	if ndjson {
 		sc := bufio.NewScanner(r.Body)
 		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -809,19 +930,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			var req JobRequest
 			if err := json.Unmarshal([]byte(text), &req); err != nil {
+				if rerr := sc.Err(); rerr != nil {
+					// A body cut off by its size limit ends in a partial
+					// line: report the limit, not the truncation.
+					writeJSON(w, decodeStatus(rerr), JobResponse{Error: rerr.Error()})
+					return
+				}
 				writeJSON(w, http.StatusBadRequest, JobResponse{Error: fmt.Sprintf("line %d: %v", line, err)})
 				return
 			}
 			reqs = append(reqs, req)
 		}
 		if err := sc.Err(); err != nil {
-			writeJSON(w, http.StatusBadRequest, JobResponse{Error: err.Error()})
+			writeJSON(w, decodeStatus(err), JobResponse{Error: err.Error()})
 			return
 		}
 	} else {
 		var batch BatchRequest
 		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			writeJSON(w, http.StatusBadRequest, JobResponse{Error: "decoding batch: " + err.Error()})
+			writeJSON(w, decodeStatus(err), JobResponse{Error: "decoding batch: " + err.Error()})
 			return
 		}
 		reqs = batch.Jobs

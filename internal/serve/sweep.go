@@ -184,21 +184,12 @@ func (s *Server) sweepRow(run *sweepRun, i int, req JobRequest) JobResponse {
 // replayRow serves a journaled row from the result cache. The journaled key
 // must equal the key of the job the client re-sent for this row — a client
 // reusing a sweep id for a different sweep gets its rows recomputed, never
-// a wrong cached answer. Recomputing the key costs the row's operand
-// generation but no simulation, and a cache miss (evicted entry) simply
-// falls back to a normal dispatch.
+// a wrong cached answer. Recomputing the key costs no simulation (and no
+// operand generation when the descriptor memo knows the row), and a cache
+// miss (evicted entry) simply falls back to a normal dispatch.
 func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 	start := time.Now()
-	if req.ExecWorkers == 0 {
-		req.ExecWorkers = s.execWorkers
-	}
-	req.Trace = false
-	job, err := req.Job()
-	if err != nil {
-		return JobResponse{}, false
-	}
-	k, err := job.Key()
-	if err != nil || k != key {
+	if _, k, err := s.jobKey(req); err != nil || k != key {
 		return JobResponse{}, false
 	}
 	res, ok := s.farm.CacheGet(key)
@@ -206,14 +197,7 @@ func (s *Server) replayRow(req JobRequest, key string) (JobResponse, bool) {
 		return JobResponse{}, false
 	}
 	resp := JobResponse{Key: key, Cached: true, Stats: &res.Stats, ElapsedMS: msSince(start)}
-	if res.Out != nil {
-		resp.OutputShape = res.Out.Shape()
-		var sum float64
-		for _, v := range res.Out.Data() {
-			sum += float64(v)
-		}
-		resp.OutputSum = sum
-	}
+	resp.summarize(res.Out)
 	return resp, true
 }
 

@@ -117,6 +117,19 @@ func TestAnalyticDenseMatchesReference(t *testing.T) {
 				if fast != ref {
 					t.Errorf("geo=%+v mapping=%s cfg=%+v:\n analytic %+v\n reference %+v", g, m, cfg, fast, ref)
 				}
+				// The shape-only entry must report the tensor-based dry
+				// run's counters on both paths.
+				for _, reference := range []bool{false, true} {
+					eng.Reference = reference
+					shaped, err := eng.DenseDry(g.m, g.k, g.n, m)
+					if err != nil {
+						t.Fatalf("shape-only (reference=%v): %v", reference, err)
+					}
+					if shaped != fast {
+						t.Errorf("geo=%+v mapping=%s cfg=%+v reference=%v:\n shape-only %+v\n tensor     %+v",
+							g, m, cfg, reference, shaped, fast)
+					}
+				}
 			}
 		}
 	}

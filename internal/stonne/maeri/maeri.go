@@ -305,7 +305,6 @@ func (e *Engine) convStep(out, in, kernel *tensor.Tensor, d tensor.ConvDims,
 // reuse, so every step streams its T_S × T_K weight tile through the
 // distribution network alongside the T_K input activations.
 func (e *Engine) Dense(in, weights *tensor.Tensor, m mapping.FCMapping) (*tensor.Tensor, stats.Stats, error) {
-	var batches, inN, outN int
 	if e.DryRun {
 		if in == nil || weights == nil {
 			return nil, stats.Stats{}, fmt.Errorf("maeri: dry-run dense still requires shape-bearing tensors")
@@ -314,28 +313,50 @@ func (e *Engine) Dense(in, weights *tensor.Tensor, m mapping.FCMapping) (*tensor
 	if in.Rank() != 2 || weights.Rank() != 2 {
 		return nil, stats.Stats{}, fmt.Errorf("maeri: dense requires 2-D input and weights, got %v and %v", in.Shape(), weights.Shape())
 	}
-	batches, inN = in.Dim(0), in.Dim(1)
-	outN = weights.Dim(0)
+	batches, inN := in.Dim(0), in.Dim(1)
+	outN := weights.Dim(0)
 	if weights.Dim(1) != inN {
 		return nil, stats.Stats{}, fmt.Errorf("maeri: dense reduction mismatch: input %v vs weights %v", in.Shape(), weights.Shape())
+	}
+	if e.DryRun {
+		st, err := e.DenseDry(batches, inN, outN, m)
+		return nil, st, err
 	}
 	if err := m.Validate(batches, inN, outN, e.cfg.MSSize); err != nil {
 		return nil, stats.Stats{}, err
 	}
 	if !e.Reference {
-		st := e.analyticDense(batches, inN, outN, m)
-		if e.DryRun {
-			return nil, st, nil
-		}
-		return fusedDense(in, weights, m), st, nil
+		return fusedDense(in, weights, m), e.analyticDense(batches, inN, outN, m), nil
 	}
+	return e.denseSteps(in, weights, batches, inN, outN, m)
+}
+
+// DenseDry is the counters-only Dense measurement from the layer geometry
+// alone — batches × inN input neurons → outN output neurons — so mapping
+// searches never allocate operands just to carry their shapes. Stats are
+// those Dense reports for tensors of that shape, whether or not DryRun is
+// set: the analytical fast path by default, the step loop under Reference.
+func (e *Engine) DenseDry(batches, inN, outN int, m mapping.FCMapping) (stats.Stats, error) {
+	if err := m.Validate(batches, inN, outN, e.cfg.MSSize); err != nil {
+		return stats.Stats{}, err
+	}
+	if !e.Reference {
+		return e.analyticDense(batches, inN, outN, m), nil
+	}
+	_, st, err := e.denseSteps(nil, nil, batches, inN, outN, m)
+	return st, err
+}
+
+// denseSteps is the step-loop reference for Dense. With nil operands it
+// counts only, producing no output.
+func (e *Engine) denseSteps(in, weights *tensor.Tensor, batches, inN, outN int, m mapping.FCMapping) (*tensor.Tensor, stats.Stats, error) {
 	dn, rn, ab, err := e.fabrics()
 	if err != nil {
 		return nil, stats.Stats{}, err
 	}
 
 	var out *tensor.Tensor
-	if !e.DryRun {
+	if in != nil {
 		out = tensor.New(batches, outN)
 	}
 	var st stats.Stats
@@ -375,7 +396,7 @@ func (e *Engine) Dense(in, weights *tensor.Tensor, m mapping.FCMapping) (*tensor
 				st.MACs += nv * int64(tk)
 				st.AccumWrites += nv
 
-				if !e.DryRun {
+				if out != nil {
 					inD, wD, outD := in.Data(), weights.Data(), out.Data()
 					for n := n0; n < n0+tn; n++ {
 						for s := s0; s < s0+ts; s++ {
