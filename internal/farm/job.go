@@ -287,7 +287,9 @@ func runDry(cfg config.HWConfig, j Job) (Result, error) {
 		if j.M <= 0 || j.K <= 0 || j.N <= 0 {
 			return Result{}, fmt.Errorf("farm: dry-run dense job needs M, K, N geometry, got %d×%d→%d", j.M, j.K, j.N)
 		}
-		st, err := eng.DenseDry(j.M, j.K, j.N, j.FCMapping)
+		in := tensor.New(j.M, j.K)
+		w := tensor.New(j.N, j.K)
+		_, st, err := eng.Dense(in, w, j.FCMapping)
 		if err != nil {
 			return Result{}, err
 		}
