@@ -88,9 +88,9 @@ func TestFusedDenseSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestAnalyticDryRunAllocFree pins the counters-only measurement path (the
-// tuner's cost signal) to zero allocations — it runs thousands of times per
-// mapping search.
+// TestAnalyticDryRunAllocFree pins the counters-only conv and dense
+// measurement paths (the tuner's cost signal) to zero allocations — they run
+// thousands of times per mapping search.
 func TestAnalyticDryRunAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under -race")
@@ -112,6 +112,17 @@ func TestAnalyticDryRunAllocFree(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Fatalf("analytic dry run allocates %.1f/op, want 0", allocs)
+	}
+
+	// The dense dry run takes fc6's geometry, not operands of its shape.
+	fc := mapping.FCMapping{TS: 8, TK: 16, TN: 1}
+	allocs = steadyStateAllocs(func() {
+		if _, err := eng.DenseDry(1, 9216, 4096, fc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0.5 {
+		t.Fatalf("analytic dense dry run at fc6 size allocates %.1f/op, want 0", allocs)
 	}
 }
 

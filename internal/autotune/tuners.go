@@ -3,6 +3,7 @@ package autotune
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/xgboost"
@@ -294,7 +295,17 @@ func (x XGBTuner) Tune(space *Space, measure MeasureFunc, opts Options) (Result,
 		if len(candidates) == 0 {
 			break
 		}
-		sort.Slice(candidates, func(i, j int) bool { return candidates[i].pred < candidates[j].pred })
+		// Negative exactly when a.pred < b.pred: the same strict less (and
+		// so the same pdqsort permutation) as sort.Slice, without reflection.
+		slices.SortFunc(candidates, func(a, b scored) int {
+			if a.pred < b.pred {
+				return -1
+			}
+			if a.pred > b.pred {
+				return 1
+			}
+			return 0
+		})
 		var picked []int64
 		for _, c := range candidates {
 			if len(picked) >= batch || tr.result.Measured+len(picked) >= opts.Trials {

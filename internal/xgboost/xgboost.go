@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -42,18 +43,15 @@ type node struct {
 type tree struct{ nodes []node }
 
 func (t *tree) predict(x []float64) float64 {
-	i := 0
-	for {
-		n := t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
+	n := &t.nodes[0]
+	for n.feature >= 0 {
 		if x[n.feature] <= n.threshold {
-			i = n.left
+			n = &t.nodes[n.left]
 		} else {
-			i = n.right
+			n = &t.nodes[n.right]
 		}
 	}
+	return n.value
 }
 
 // Model is a trained gradient-boosted ensemble.
@@ -98,6 +96,7 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 	for i := range allRows {
 		allRows[i] = i
 	}
+	b := newBuilder(x, residual, p)
 	for round := 0; round < p.Rounds; round++ {
 		for i := range residual {
 			residual[i] = y[i] - pred[i]
@@ -109,79 +108,141 @@ func Train(x [][]float64, y []float64, p Params) (*Model, error) {
 			sort.Ints(perm)
 			rows = perm
 		}
-		t := buildTree(x, residual, rows, p, 0)
+		t := b.build(rows)
 		m.trees = append(m.trees, t)
+		grown := len(rows) == len(y)
 		for i := range pred {
-			pred[i] += p.LearningRate * t.predict(x[i])
+			var v float64
+			if grown {
+				v = t.nodes[b.leaf[i]].value // no tree walk: row i was grown into this leaf
+			} else {
+				v = t.predict(x[i])
+			}
+			pred[i] += p.LearningRate * v
 		}
 	}
 	return m, nil
 }
 
-// buildTree greedily grows one regression tree on the given rows.
-func buildTree(x [][]float64, target []float64, rows []int, p Params, _ int) tree {
-	t := tree{}
-	var grow func(rows []int, depth int) int
-	grow = func(rows []int, depth int) int {
-		idx := len(t.nodes)
-		t.nodes = append(t.nodes, node{feature: -1, left: -1, right: -1})
-		var sum float64
-		for _, r := range rows {
-			sum += target[r]
-		}
-		// Regularised leaf value.
-		t.nodes[idx].value = sum / (float64(len(rows)) + p.Lambda)
-		if depth >= p.MaxDepth || len(rows) < p.MinSamples {
-			return idx
-		}
-		feature, threshold, ok := bestSplit(x, target, rows, p)
-		if !ok {
-			return idx
-		}
-		var left, right []int
-		for _, r := range rows {
-			if x[r][feature] <= threshold {
-				left = append(left, r)
-			} else {
-				right = append(right, r)
-			}
-		}
-		if len(left) == 0 || len(right) == 0 {
-			return idx
-		}
-		t.nodes[idx].feature = feature
-		t.nodes[idx].threshold = threshold
-		t.nodes[idx].left = grow(left, depth+1)
-		t.nodes[idx].right = grow(right, depth+1)
-		return idx
+// fv is one (feature value, target) pair of a split search.
+type fv struct{ v, t float64 }
+
+// cmpFV orders pairs by feature value. It is negative exactly when a.v <
+// b.v, so slices.SortFunc permutes like sort.Slice with the same strict
+// less, and sums within runs of equal values keep their order.
+func cmpFV(a, b fv) int {
+	if a.v < b.v {
+		return -1
 	}
-	grow(rows, 0)
-	return t
+	if a.v > b.v {
+		return 1
+	}
+	return 0
+}
+
+// builder grows regression trees over one dataset, reusing its scratch
+// across nodes and rounds.
+type builder struct {
+	x      [][]float64
+	target []float64
+	p      Params
+	t      tree
+	// rows holds the current node's rows at [lo:hi) of rows[depth%2]; a
+	// split partitions them stably into the same range of the other buffer.
+	rows [2][]int
+	vals []fv
+	// leaf[r] is the node row r landed in during the last build.
+	leaf []int
+}
+
+func newBuilder(x [][]float64, target []float64, p Params) *builder {
+	n := len(target)
+	return &builder{
+		x: x, target: target, p: p,
+		rows: [2][]int{make([]int, n), make([]int, n)},
+		vals: make([]fv, 0, n),
+		leaf: make([]int, n),
+	}
+}
+
+// build greedily grows one regression tree on the given rows.
+func (b *builder) build(rows []int) tree {
+	b.t = tree{}
+	copy(b.rows[0], rows)
+	b.grow(0, len(rows), 0)
+	return b.t
+}
+
+func (b *builder) grow(lo, hi, depth int) int {
+	rows := b.rows[depth%2][lo:hi]
+	idx := len(b.t.nodes)
+	b.t.nodes = append(b.t.nodes, node{feature: -1, left: -1, right: -1})
+	var sum float64
+	for _, r := range rows {
+		sum += b.target[r]
+	}
+	// Regularised leaf value.
+	b.t.nodes[idx].value = sum / (float64(len(rows)) + b.p.Lambda)
+	if depth >= b.p.MaxDepth || len(rows) < b.p.MinSamples {
+		return b.markLeaf(rows, idx)
+	}
+	feature, threshold, ok := b.bestSplit(rows)
+	if !ok {
+		return b.markLeaf(rows, idx)
+	}
+	dst := b.rows[(depth+1)%2][lo:hi]
+	nl := 0
+	for _, r := range rows {
+		if b.x[r][feature] <= threshold {
+			dst[nl] = r
+			nl++
+		}
+	}
+	if nl == 0 || nl == len(rows) {
+		return b.markLeaf(rows, idx)
+	}
+	j := nl
+	for _, r := range rows {
+		if !(b.x[r][feature] <= threshold) {
+			dst[j] = r
+			j++
+		}
+	}
+	left := b.grow(lo, lo+nl, depth+1)
+	right := b.grow(lo+nl, hi, depth+1)
+	n := &b.t.nodes[idx]
+	n.feature, n.threshold, n.left, n.right = feature, threshold, left, right
+	return idx
+}
+
+func (b *builder) markLeaf(rows []int, idx int) int {
+	for _, r := range rows {
+		b.leaf[r] = idx
+	}
+	return idx
 }
 
 // bestSplit scans every feature for the exact split minimising the
 // regularised squared-error objective (maximum variance-reduction gain).
-func bestSplit(x [][]float64, target []float64, rows []int, p Params) (int, float64, bool) {
-	dim := len(x[0])
-	var total, totalSq float64
+func (b *builder) bestSplit(rows []int) (int, float64, bool) {
+	dim := len(b.x[0])
+	var total float64
 	for _, r := range rows {
-		total += target[r]
-		totalSq += target[r] * target[r]
+		total += b.target[r]
 	}
 	n := float64(len(rows))
-	parentScore := total * total / (n + p.Lambda)
+	lambda := b.p.Lambda
+	parentScore := total * total / (n + lambda)
 
 	bestGain := 1e-12
 	bestFeature, bestThreshold, found := -1, 0.0, false
 
-	type fv struct{ v, t float64 }
-	vals := make([]fv, 0, len(rows))
 	for f := 0; f < dim; f++ {
-		vals = vals[:0]
+		vals := b.vals[:0]
 		for _, r := range rows {
-			vals = append(vals, fv{x[r][f], target[r]})
+			vals = append(vals, fv{b.x[r][f], b.target[r]})
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+		slices.SortFunc(vals, cmpFV)
 		var leftSum float64
 		for i := 0; i < len(vals)-1; i++ {
 			leftSum += vals[i].t
@@ -191,7 +252,7 @@ func bestSplit(x [][]float64, target []float64, rows []int, p Params) (int, floa
 			nl := float64(i + 1)
 			nr := n - nl
 			rightSum := total - leftSum
-			gain := leftSum*leftSum/(nl+p.Lambda) + rightSum*rightSum/(nr+p.Lambda) - parentScore
+			gain := leftSum*leftSum/(nl+lambda) + rightSum*rightSum/(nr+lambda) - parentScore
 			if gain > bestGain {
 				bestGain = gain
 				bestFeature = f

@@ -3,6 +3,7 @@ package xgboost
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -194,5 +195,248 @@ func TestSingleFeatureStep(t *testing.T) {
 	}
 	if math.Abs(m.Predict([]float64{11})-5) > 0.5 {
 		t.Fatalf("right side predicts %v", m.Predict([]float64{11}))
+	}
+}
+
+// referenceTrain is the original, allocation-heavy trainer: per-node row
+// slices built with append, a fresh sort.Slice scratch per split search and
+// a full tree walk per row to update the running prediction. The fast
+// trainer must reproduce its models bit for bit.
+func referenceTrain(x [][]float64, y []float64, p Params) *Model {
+	if p.MinSamples < 2 {
+		p.MinSamples = 2
+	}
+	rng := rand.New(rand.NewSource(p.Seed))
+	var base float64
+	for _, v := range y {
+		base += v
+	}
+	base /= float64(len(y))
+	m := &Model{params: p, base: base}
+	residual := make([]float64, len(y))
+	pred := make([]float64, len(y))
+	for i := range pred {
+		pred[i] = base
+	}
+	allRows := make([]int, len(y))
+	for i := range allRows {
+		allRows[i] = i
+	}
+	for round := 0; round < p.Rounds; round++ {
+		for i := range residual {
+			residual[i] = y[i] - pred[i]
+		}
+		rows := allRows
+		if p.SubsampleRow > 0 && p.SubsampleRow < 1 {
+			k := int(math.Ceil(p.SubsampleRow * float64(len(y))))
+			perm := rng.Perm(len(y))[:k]
+			sort.Ints(perm)
+			rows = perm
+		}
+		t := referenceBuildTree(x, residual, rows, p)
+		m.trees = append(m.trees, t)
+		for i := range pred {
+			pred[i] += p.LearningRate * t.predict(x[i])
+		}
+	}
+	return m
+}
+
+func referenceBuildTree(x [][]float64, target []float64, rows []int, p Params) tree {
+	t := tree{}
+	var grow func(rows []int, depth int) int
+	grow = func(rows []int, depth int) int {
+		idx := len(t.nodes)
+		t.nodes = append(t.nodes, node{feature: -1, left: -1, right: -1})
+		var sum float64
+		for _, r := range rows {
+			sum += target[r]
+		}
+		t.nodes[idx].value = sum / (float64(len(rows)) + p.Lambda)
+		if depth >= p.MaxDepth || len(rows) < p.MinSamples {
+			return idx
+		}
+		feature, threshold, ok := referenceBestSplit(x, target, rows, p)
+		if !ok {
+			return idx
+		}
+		var left, right []int
+		for _, r := range rows {
+			if x[r][feature] <= threshold {
+				left = append(left, r)
+			} else {
+				right = append(right, r)
+			}
+		}
+		if len(left) == 0 || len(right) == 0 {
+			return idx
+		}
+		t.nodes[idx].feature = feature
+		t.nodes[idx].threshold = threshold
+		t.nodes[idx].left = grow(left, depth+1)
+		t.nodes[idx].right = grow(right, depth+1)
+		return idx
+	}
+	grow(rows, 0)
+	return t
+}
+
+func referenceBestSplit(x [][]float64, target []float64, rows []int, p Params) (int, float64, bool) {
+	dim := len(x[0])
+	var total float64
+	for _, r := range rows {
+		total += target[r]
+	}
+	n := float64(len(rows))
+	parentScore := total * total / (n + p.Lambda)
+
+	bestGain := 1e-12
+	bestFeature, bestThreshold, found := -1, 0.0, false
+
+	type fv struct{ v, t float64 }
+	vals := make([]fv, 0, len(rows))
+	for f := 0; f < dim; f++ {
+		vals = vals[:0]
+		for _, r := range rows {
+			vals = append(vals, fv{x[r][f], target[r]})
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+		var leftSum float64
+		for i := 0; i < len(vals)-1; i++ {
+			leftSum += vals[i].t
+			if vals[i].v == vals[i+1].v {
+				continue
+			}
+			nl := float64(i + 1)
+			nr := n - nl
+			rightSum := total - leftSum
+			gain := leftSum*leftSum/(nl+p.Lambda) + rightSum*rightSum/(nr+p.Lambda) - parentScore
+			if gain > bestGain {
+				bestGain = gain
+				bestFeature = f
+				bestThreshold = (vals[i].v + vals[i+1].v) / 2
+				found = true
+			}
+		}
+	}
+	return bestFeature, bestThreshold, found
+}
+
+// knobDataset draws tie-heavy integer features shaped like tuner knob
+// indices (a handful of distinct values per feature) and a non-linear
+// target, the regime the XGB tuner trains in. The last feature mirrors the
+// first, as dependent knobs do: both split the rows identically, so which
+// one wins is decided by the rounding of the split sums alone, and any
+// change to their summation order shows.
+func knobDataset(rows, dim int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	levels := make([]int, dim)
+	for f := range levels {
+		levels[f] = 2 + rng.Intn(7)
+	}
+	x := make([][]float64, rows)
+	y := make([]float64, rows)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		prod := 1.0
+		for f := 0; f < dim-1; f++ {
+			x[i][f] = float64(rng.Intn(levels[f]))
+			prod *= x[i][f] + 1
+		}
+		x[i][dim-1] = float64(levels[0]-1) - x[i][0]
+		y[i] = math.Floor(1e4/prod) + float64(rng.Intn(3))/3
+	}
+	return x, y
+}
+
+// probeRows draws feature vectors off the training data, half integral and
+// half not, so predictions also differ between trees whose splits agree
+// on every training row.
+func probeRows(n, dim int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		for f := range x[i] {
+			v := rng.Float64()*20 - 10
+			if rng.Intn(2) == 0 {
+				v = math.Round(v)
+			}
+			x[i][f] = v
+		}
+	}
+	return x
+}
+
+// continuousDataset draws random real features with a smooth target.
+func continuousDataset(rows, dim int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, rows)
+	y := make([]float64, rows)
+	for i := range x {
+		x[i] = make([]float64, dim)
+		for f := range x[i] {
+			x[i][f] = rng.NormFloat64() * 5
+		}
+		y[i] = math.Sin(x[i][0])*x[i][dim-1] + rng.Float64()
+	}
+	return x, y
+}
+
+// TestTrainMatchesReference checks that Train predicts bit-identically to
+// the reference trainer on knob-like, continuous and row-subsampled data
+// across seeds, depths and round counts.
+func TestTrainMatchesReference(t *testing.T) {
+	type tc struct {
+		name      string
+		x         [][]float64
+		y         []float64
+		subsample float64
+	}
+	var cases []tc
+	for s := int64(1); s <= 3; s++ {
+		for _, shape := range [][2]int{{10, 3}, {37, 5}, {150, 8}, {400, 6}} {
+			x, y := knobDataset(shape[0], shape[1], s*100+int64(shape[0]))
+			cases = append(cases, tc{"knob", x, y, 1})
+			cases = append(cases, tc{"knob/subsample", x, y, 0.7})
+		}
+		x, y := continuousDataset(120+40*int(s), 4, s)
+		cases = append(cases, tc{"continuous", x, y, 0})
+		cases = append(cases, tc{"continuous/subsample", x, y, 0.7})
+	}
+	for i, c := range cases {
+		rows := append(append([][]float64{}, c.x...), probeRows(50, len(c.x[0]), int64(i))...)
+		for _, depth := range []int{1, 3, 6} {
+			for _, rounds := range []int{1, 7, 30} {
+				p := DefaultParams()
+				p.MaxDepth, p.Rounds, p.SubsampleRow, p.Seed = depth, rounds, c.subsample, int64(i)
+				got, err := Train(c.x, c.y, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := referenceTrain(c.x, c.y, p)
+				for r, row := range rows {
+					g, w := got.Predict(row), want.Predict(row)
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("case %d (%s, %d rows) depth %d rounds %d: row %d predicts %v, reference %v",
+							i, c.name, len(c.x), depth, rounds, r, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTrain trains the XGB tuner's cost model on a tuner-sized
+// dataset: 200 measured configurations of 8 integer knob indices.
+func BenchmarkTrain(b *testing.B) {
+	x, y := knobDataset(200, 8, 1)
+	p := DefaultParams()
+	p.Rounds, p.MaxDepth = 30, 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(x, y, p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
